@@ -24,7 +24,7 @@ use fathom::{BuildConfig, FusionLevel, ModelKind};
 use fathom_dataflow::OpKind;
 use fathom_profile::OpProfile;
 
-use crate::{write_artifact, Effort};
+use crate::{median, write_artifact, Effort};
 
 /// One workload's three-leg fusion comparison.
 #[derive(Debug, Clone)]
@@ -73,20 +73,6 @@ impl FusionRow {
     /// pass buys on top of the elementwise pass.
     pub fn epilogue_speedup(&self) -> f64 {
         if self.ms_fused > 0.0 { self.ms_elementwise / self.ms_fused } else { 0.0 }
-    }
-}
-
-/// Median of a sample set (mean of the middle two for even sizes).
-fn median(samples: &mut [f64]) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples.sort_by(|a, b| a.total_cmp(b));
-    let n = samples.len();
-    if n % 2 == 1 {
-        samples[n / 2]
-    } else {
-        (samples[n / 2 - 1] + samples[n / 2]) / 2.0
     }
 }
 
@@ -345,13 +331,6 @@ mod tests {
             "\"step_ms\": {\"unfused\": 10.0000, \"elementwise\": 9.0000, \"fused\": 8.0000}"
         ));
         assert!(json.contains("\"class_c_share\": {\"unfused\": 0.3000, \"fused\": 0.2500}"));
-    }
-
-    #[test]
-    fn median_of_samples() {
-        assert_eq!(median(&mut [3.0, 1.0, 2.0]), 2.0);
-        assert_eq!(median(&mut [4.0, 1.0, 3.0, 2.0]), 2.5);
-        assert_eq!(median(&mut []), 0.0);
     }
 
     #[test]

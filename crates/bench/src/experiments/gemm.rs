@@ -30,7 +30,7 @@ use fathom_tensor::kernels::gemm::matmul_packed;
 use fathom_tensor::kernels::matmul::matmul_rows;
 use fathom_tensor::{ExecPool, Rng, Tensor};
 
-use crate::{write_artifact, Effort};
+use crate::{median, write_artifact, Effort};
 
 /// Thread counts swept, matching Figure 6's 1-8 range.
 pub const THREADS: [usize; 4] = [1, 2, 4, 8];
@@ -101,20 +101,6 @@ impl GeometryPoint {
             if self.transpose_a { 't' } else { 'n' },
             if self.transpose_b { 't' } else { 'n' },
         )
-    }
-}
-
-/// Median of a sample set (mean of the middle two for even sizes).
-fn median(samples: &mut [f64]) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
-    let n = samples.len();
-    if n % 2 == 1 {
-        samples[n / 2]
-    } else {
-        (samples[n / 2 - 1] + samples[n / 2]) / 2.0
     }
 }
 

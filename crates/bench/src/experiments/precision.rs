@@ -31,7 +31,7 @@ use fathom_dataflow::OpKind;
 use fathom_tensor::kernels::gemm::{matmul_packed, matmul_packed_bf16};
 use fathom_tensor::{ExecPool, Rng, Tensor};
 
-use crate::{write_artifact, Effort};
+use crate::{median, write_artifact, Effort};
 
 /// Accuracy gate applied to both reduced-precision paths: mean-metric
 /// deviation beyond this fails the workload (mirrors the
@@ -79,15 +79,6 @@ impl PrecisionRow {
     pub fn within_tolerance(&self) -> bool {
         self.bf16_dev <= TOLERANCE && self.int8_dev <= TOLERANCE
     }
-}
-
-fn median(samples: &mut [f64]) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples.sort_by(|a, b| a.total_cmp(b));
-    let n = samples.len();
-    if n % 2 == 1 { samples[n / 2] } else { (samples[n / 2 - 1] + samples[n / 2]) / 2.0 }
 }
 
 /// Deviation of a mean metric from its reference: relative above 1,

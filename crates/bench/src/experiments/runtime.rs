@@ -28,7 +28,7 @@ use fathom_serve::{
 };
 use fathom_tensor::Runtime;
 
-use crate::{write_artifact, Effort};
+use crate::{median, write_artifact, Effort};
 
 /// Consecutive allocation-free steps required before timing starts.
 pub const QUIET_STEPS: u32 = 4;
@@ -120,20 +120,6 @@ impl ServeLeg {
 /// exercises co-scheduling.
 pub fn ablation_workers() -> usize {
     Runtime::workers().clamp(2, 8)
-}
-
-/// Median of a sample set (mean of the middle two for even sizes).
-fn median(samples: &mut [f64]) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite step times"));
-    let n = samples.len();
-    if n % 2 == 1 {
-        samples[n / 2]
-    } else {
-        (samples[n / 2 - 1] + samples[n / 2]) / 2.0
-    }
 }
 
 /// Measures one (workload, policy) leg at `workers` inter-op workers.
@@ -466,13 +452,6 @@ mod tests {
         assert!(leg.p99_no_worse());
         let leg = ServeLeg { moldable_p99_ms: 1.10, ..leg };
         assert!(!leg.p99_no_worse());
-    }
-
-    #[test]
-    fn median_of_samples() {
-        assert_eq!(median(&mut [3.0, 1.0, 2.0]), 2.0);
-        assert_eq!(median(&mut [4.0, 1.0, 3.0, 2.0]), 2.5);
-        assert_eq!(median(&mut []), 0.0);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use std::time::Instant;
 use fathom::{BuildConfig, ModelKind};
 use fathom_dataflow::{sched, Device};
 
-use crate::{write_artifact, Effort};
+use crate::{median, write_artifact, Effort};
 
 /// Inter-op worker counts swept.
 pub const WORKERS: [usize; 4] = [1, 2, 4, 8];
@@ -50,20 +50,6 @@ impl SchedulerSweep {
         let serial = self.points.first().map_or(0.0, |p| p.millis);
         let widest = self.points.last().map_or(0.0, |p| p.millis);
         if widest > 0.0 { serial / widest } else { 0.0 }
-    }
-}
-
-/// Median of a sample set (mean of the middle two for even sizes).
-fn median(samples: &mut [f64]) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite step times"));
-    let n = samples.len();
-    if n % 2 == 1 {
-        samples[n / 2]
-    } else {
-        (samples[n / 2 - 1] + samples[n / 2]) / 2.0
     }
 }
 
@@ -260,10 +246,4 @@ mod tests {
         assert!(json.contains("\"speedup_at_8\": 2.000"));
     }
 
-    #[test]
-    fn median_of_samples() {
-        assert_eq!(median(&mut [3.0, 1.0, 2.0]), 2.0);
-        assert_eq!(median(&mut [4.0, 1.0, 3.0, 2.0]), 2.5);
-        assert_eq!(median(&mut []), 0.0);
-    }
 }

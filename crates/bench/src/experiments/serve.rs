@@ -4,9 +4,10 @@
 //!
 //! For each workload and each batch size, a closed-loop load (clients =
 //! twice the batch, zero think time) drives one `SessionWorker` built at
-//! that batch extent. Service times are real wall-clock measurements of
-//! the inference session; queueing, batching, and latency accounting run
-//! in the engine's deterministic virtual time. The sweep reports
+//! that batch extent, served as a one-model, one-shard cluster with
+//! fixed rounds. Service times are real wall-clock measurements of the
+//! inference session; queueing, batching, and latency accounting run in
+//! `serve_cluster`'s deterministic virtual time. The sweep reports
 //! throughput and tail latency per configuration — the classic
 //! batching trade: larger batches amortize per-op overhead (throughput
 //! up) while requests wait longer for a slot (p99 up). Emits
@@ -17,8 +18,8 @@ use std::fmt::Write as _;
 
 use fathom::{BuildConfig, ModelKind};
 use fathom_serve::{
-    serve, serve_cluster, synth_inputs, BatchPolicy, BatchRunner, ClusterConfig, ClusterReport,
-    ClusterRunner, LoadModel, ModelSpec, ServeConfig, SessionWorker, SloClass,
+    serve_cluster, synth_inputs, BatchPolicy, ClosedLoop, ClusterConfig, ClusterReport,
+    ClusterRunner, ModelSpec, SessionWorker, SloClass,
 };
 
 use crate::{write_artifact, Effort};
@@ -60,33 +61,33 @@ pub fn measure(kind: ModelKind, max_batch: usize, effort: &Effort) -> ServePoint
     let mut worker = SessionWorker::new(kind, &cfg).expect("every workload is servable");
     let shapes = worker.item_shapes();
     let domains = worker.domains();
-    let serve_cfg = ServeConfig {
-        // Closed loops with zero think time never outrun the queue cap;
-        // a generous bound keeps shed == 0 so throughput is comparable.
-        queue_cap: 64 * max_batch.max(1),
-        ..ServeConfig::new(max_batch)
-    };
+    let mut specs = vec![ModelSpec {
+        name: kind.name().to_string(),
+        shards: vec![vec![&mut worker as &mut dyn ClusterRunner]],
+        rps: 0.0,
+        synth: Box::new(move |rng, _| synth_inputs(&shapes, &domains, rng)),
+    }];
     // Enough completions that the p99 is a real tail statistic rather
     // than the max of a handful of samples (>= 128 per point).
     let requests = (effort.steps.max(1) * 32).max(128).max(2 * max_batch);
-    let load = LoadModel::Closed { clients: 2 * max_batch, requests };
-    let mut runners: Vec<&mut dyn BatchRunner> = vec![&mut worker];
-    let report = serve(
-        &mut runners,
-        &serve_cfg,
-        &load,
-        &mut |rng, _| synth_inputs(&shapes, &domains, rng),
-        kind.name(),
-    )
-    .expect("serving a well-formed workload succeeds");
+    let serve_cfg = ClusterConfig {
+        // Closed loops with zero think time never outrun the queue cap;
+        // a generous bound keeps shed == 0 so throughput is comparable.
+        queue_cap: 64 * max_batch.max(1),
+        closed_loop: Some(ClosedLoop { clients: 2 * max_batch, requests }),
+        ..ClusterConfig::single_model(max_batch)
+    };
+    let report = serve_cluster(&mut specs, &serve_cfg)
+        .expect("serving a well-formed workload succeeds");
+    let latency = &report.per_class[SloClass::Standard.idx()].latency;
     ServePoint {
         workload: kind.name(),
         max_batch,
         throughput_rps: report.throughput_rps(),
-        p50_ms: report.latency.quantile(0.50) / 1e6,
-        p99_ms: report.latency.quantile(0.99) / 1e6,
-        mean_batch: report.mean_batch_size(),
-        completed: report.completed,
+        p50_ms: latency.quantile(0.50) / 1e6,
+        p99_ms: latency.quantile(0.99) / 1e6,
+        mean_batch: report.models[0].mean_batch(),
+        completed: report.completed(),
     }
 }
 
@@ -224,8 +225,9 @@ pub fn run(effort: &Effort) -> String {
 
     // Cluster scenario: every workload behind a 2-shard group at 2x its
     // measured batch-4 capacity, mixed 50/30/20 SLO traffic, run once
-    // with continuous batching and once with the single-model engine's
-    // fixed pack/run/split rounds — then a mixed fleet of four models.
+    // with continuous batching and once with fixed pack/run/split
+    // rounds (the single-model policy) — then a mixed fleet of four
+    // models.
     let duration_nanos = (effort.steps.max(1) as u64) * 100_000_000;
     let _ = writeln!(
         out,

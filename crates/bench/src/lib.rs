@@ -84,9 +84,34 @@ pub fn write_artifact(name: &str, contents: &str) -> PathBuf {
     path
 }
 
+/// Median of a sample set (mean of the middle two for even sizes, 0
+/// when empty). Sorts in place by `f64::total_cmp`, so a NaN sample
+/// sorts to an end instead of panicking the sort.
+pub fn median(samples: &mut [f64]) -> f64 {
+    if samples.is_empty() {
+        return 0.0;
+    }
+    samples.sort_by(f64::total_cmp);
+    let n = samples.len();
+    if n % 2 == 1 {
+        samples[n / 2]
+    } else {
+        (samples[n / 2 - 1] + samples[n / 2]) / 2.0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn median_of_samples() {
+        assert_eq!(median(&mut [3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(&mut [4.0, 1.0, 3.0, 2.0]), 2.5);
+        assert_eq!(median(&mut []), 0.0);
+        // A NaN sample (a broken timer) sorts last rather than panicking.
+        assert_eq!(median(&mut [f64::NAN, 1.0, 2.0]), 2.0);
+    }
 
     #[test]
     fn effort_defaults() {

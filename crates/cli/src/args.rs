@@ -219,7 +219,7 @@ pub struct ServeArgs {
     /// than one requires `--cluster`.
     pub models: Vec<ModelKind>,
     /// Serve through the cluster layer (sharded routing, SLO classes,
-    /// continuous batching) instead of the single-model engine.
+    /// continuous batching) instead of one shard with fixed rounds.
     pub cluster: bool,
     /// Shard groups per model in cluster mode.
     pub shards: usize,

@@ -21,9 +21,8 @@ use fathom::{
 use fathom_dataflow::{checkpoint, export, Device, FaultAction, FaultPlan, FaultSite};
 use fathom_profile::{report, runner, OpProfile};
 use fathom_serve::{
-    serve, serve_cluster, synth_inputs, BatchRunner, ClusterConfig, ClusterReport, ClusterRunner,
-    FaultyRunner, LoadModel, ModelSpec, RecoveryPolicy, ReloadPlan, ServeConfig, ServeReport,
-    SessionWorker, SloClass, SloMix, SloPolicy,
+    serve_cluster, synth_inputs, BatchPolicy, ClosedLoop, ClusterConfig, ClusterReport,
+    ClusterRunner, FaultyRunner, ModelSpec, ReloadPlan, SessionWorker, SloClass, SloMix, SloPolicy,
 };
 use fathom_suite::FathomError;
 
@@ -603,193 +602,36 @@ fn cmd_trace(a: RunArgs) -> Result<(), FathomError> {
     Ok(())
 }
 
+/// `serve-bench`: every named model behind shard groups of `--replicas`
+/// replicas, served through `serve_cluster`. With `--cluster` each model
+/// gets `--shards` shards, the SLO mix, and continuous batching; without
+/// it the one model sits behind a single shard with fixed rounds
+/// (`--max-delay-ms`), all-Standard traffic with `--deadline-ms` as its
+/// deadline, optional closed-loop load, `--load` warm start, and
+/// tracing. Fails when the report does not conserve requests.
 fn cmd_serve_bench(a: ServeArgs) -> Result<(), FathomError> {
-    if a.cluster {
-        return cmd_serve_cluster(a);
-    }
-    let cfg = BuildConfig {
-        mode: Mode::Inference,
-        scale: a.scale,
-        device: Device::cpu_inter_op(a.threads, a.inter_ops),
-        seed: a.seed,
-        batch: Some(a.max_batch),
-        fusion: FusionLevel::Off,
-        precision: Precision::F32,
-    };
-    let mut workers = Vec::with_capacity(a.replicas);
-    for _ in 0..a.replicas {
-        let mut w = SessionWorker::new(a.model, &cfg)?;
-        if let Some(path) = &a.load {
-            let file = std::fs::File::open(path)?;
-            w.warm_start(std::io::BufReader::new(file))?;
-        }
-        w.enable_tracing();
-        workers.push(w);
-    }
-    if a.load.is_some() {
-        println!("restored variables from {} into {} replica(s)", a.load.as_deref().unwrap(), a.replicas);
-    }
-    let shapes = workers[0].item_shapes();
-    let domains = workers[0].domains();
-
-    let serve_cfg = ServeConfig {
-        max_batch: a.max_batch,
-        max_delay_nanos: (a.max_delay_ms * 1e6) as u64,
-        queue_cap: a.queue_cap.unwrap_or(8 * a.max_batch),
-        deadline_nanos: a.deadline_ms.map(|ms| (ms * 1e6) as u64),
-        seed: a.seed,
-        recovery: RecoveryPolicy::default(),
-    };
-    let load = match (a.clients, a.requests) {
-        (None, None) => {
-            LoadModel::Open { rps: a.rps, duration_nanos: (a.duration * 1e9) as u64 }
-        }
-        (clients, requests) => {
-            let clients = clients.unwrap_or(2 * a.max_batch);
-            LoadModel::Closed { clients, requests: requests.unwrap_or(8 * clients) }
-        }
-    };
-
-    let report = if let Some(spec) = &a.fault_plan {
-        // Wrap every replica in the same seeded plan; `replica<N>` specs
-        // target runners by their position in this vector.
-        let plan = Arc::new(FaultPlan::parse(spec, a.seed).map_err(FathomError::Message)?);
-        println!("fault plan: {spec} (seed {})", plan.seed());
-        let mut faulty: Vec<FaultyRunner<SessionWorker>> = workers
-            .into_iter()
-            .enumerate()
-            .map(|(i, w)| FaultyRunner::new(w, plan.clone(), i))
-            .collect();
-        let mut runners: Vec<&mut dyn BatchRunner> =
-            faulty.iter_mut().map(|w| w as &mut dyn BatchRunner).collect();
-        serve(
-            &mut runners,
-            &serve_cfg,
-            &load,
-            &mut |rng, _id| synth_inputs(&shapes, &domains, rng),
-            a.model.name(),
-        )?
-    } else {
-        let mut runners: Vec<&mut dyn BatchRunner> =
-            workers.iter_mut().map(|w| w as &mut dyn BatchRunner).collect();
-        serve(
-            &mut runners,
-            &serve_cfg,
-            &load,
-            &mut |rng, _id| synth_inputs(&shapes, &domains, rng),
-            a.model.name(),
-        )?
-    };
-
-    let ms = |nanos: f64| nanos / 1e6;
-    println!("{} | serve-bench | {:?}", a.model.name(), load);
-    println!(
-        "issued {}  completed {}  shed {}  timed-out {}",
-        report.issued, report.completed, report.shed, report.timed_out
-    );
-    println!(
-        "throughput {:.1} req/s over {:.1} ms of virtual time",
-        report.throughput_rps(),
-        report.makespan_nanos as f64 / 1e6
-    );
-    println!(
-        "latency ms: p50 {:.3}  p95 {:.3}  p99 {:.3}  max {:.3}",
-        ms(report.latency.quantile(0.50)),
-        ms(report.latency.quantile(0.95)),
-        ms(report.latency.quantile(0.99)),
-        ms(report.latency.max()),
-    );
-    println!(
-        "batches {}  mean size {:.2}  max queue depth {}",
-        report.batches.len(),
-        report.mean_batch_size(),
-        report.max_queue_depth()
-    );
-    print_recovery(&report);
-    print_runtime(&report.runtime);
-    if let Some(path) = &a.out {
-        std::fs::write(path, report.to_json())?;
-        println!("wrote report to {path}");
-    }
-    Ok(())
-}
-
-/// `serve-bench --cluster`: every named model behind `--shards` shard
-/// groups of `--replicas` replicas, offered `--rps` each through the
-/// fleet layer (consistent-hash routing, SLO-class admission, continuous
-/// batching).
-fn cmd_serve_cluster(a: ServeArgs) -> Result<(), FathomError> {
-    if a.load.is_some() {
+    if a.cluster && a.load.is_some() {
         return Err(FathomError::Message(
             "--load does not apply in cluster mode (reloads are per model)".into(),
         ));
     }
-    let plan = match &a.fault_plan {
+    // Every replica runs under one seeded plan (empty without
+    // --fault-plan); `replica<N>` specs count fleet-wide, in
+    // model -> shard -> replica order.
+    let plan = Arc::new(match &a.fault_plan {
         Some(spec) => {
-            let p = Arc::new(FaultPlan::parse(spec, a.seed).map_err(FathomError::Message)?);
+            let p = FaultPlan::parse(spec, a.seed).map_err(FathomError::Message)?;
             println!("fault plan: {spec} (seed {})", p.seed());
-            Some(p)
+            p
         }
-        None => None,
-    };
-    /// A fleet replica: a plain worker, or one wrapped in a fault plan.
-    /// Concrete (not boxed) so `&mut ClusterRep` coerces to the
-    /// `&mut dyn ClusterRunner` the spec borrows.
-    enum ClusterRep {
-        Plain(SessionWorker),
-        Faulty(FaultyRunner<SessionWorker>),
-    }
-
-    impl BatchRunner for ClusterRep {
-        fn capacity(&self) -> usize {
-            match self {
-                ClusterRep::Plain(w) => w.capacity(),
-                ClusterRep::Faulty(w) => w.capacity(),
-            }
-        }
-
-        fn run_batch(
-            &mut self,
-            reqs: &[&fathom_serve::Request],
-        ) -> Result<fathom_serve::BatchResult, fathom_serve::ServeError> {
-            match self {
-                ClusterRep::Plain(w) => w.run_batch(reqs),
-                ClusterRep::Faulty(w) => w.run_batch(reqs),
-            }
-        }
-
-        fn recover(&mut self) -> Result<(), fathom_serve::ServeError> {
-            match self {
-                ClusterRep::Plain(w) => w.recover(),
-                ClusterRep::Faulty(w) => w.recover(),
-            }
-        }
-
-        fn runtime_counters(&self) -> fathom_dataflow::RuntimeCounters {
-            match self {
-                ClusterRep::Plain(w) => w.runtime_counters(),
-                ClusterRep::Faulty(w) => w.runtime_counters(),
-            }
-        }
-    }
-
-    impl ClusterRunner for ClusterRep {
-        fn reload(&mut self, checkpoint: &[u8]) -> Result<(), fathom_serve::ServeError> {
-            match self {
-                ClusterRep::Plain(w) => w.reload(checkpoint),
-                ClusterRep::Faulty(w) => w.reload(checkpoint),
-            }
-        }
-    }
-
+        None => FaultPlan::new(a.seed),
+    });
+    let shards = if a.cluster { a.shards } else { 1 };
     // One work-stealing runtime for the whole fleet: every model's
     // replicas share the same worker set, so the process thread budget
     // is max(threads, inter_ops) regardless of fleet size.
     let fleet_rt = Arc::new(fathom_tensor::Runtime::new(a.threads.max(a.inter_ops).max(1)));
-
-    // Replica indices for `replica<N>` fault specs run fleet-wide, in
-    // model -> shard -> replica order.
-    let mut fleet: Vec<Vec<Vec<ClusterRep>>> = Vec::with_capacity(a.models.len());
+    let mut fleet: Vec<Vec<Vec<FaultyRunner<SessionWorker>>>> = Vec::with_capacity(a.models.len());
     let mut replica_idx = 0usize;
     for kind in &a.models {
         let cfg = BuildConfig {
@@ -801,39 +643,32 @@ fn cmd_serve_cluster(a: ServeArgs) -> Result<(), FathomError> {
             fusion: FusionLevel::Off,
             precision: Precision::F32,
         };
-        let mut shards = Vec::with_capacity(a.shards);
-        for _ in 0..a.shards {
+        let mut shard_groups = Vec::with_capacity(shards);
+        for _ in 0..shards {
             let mut replicas = Vec::with_capacity(a.replicas);
             for _ in 0..a.replicas {
-                let w = SessionWorker::new(*kind, &cfg)?;
-                replicas.push(match &plan {
-                    Some(p) => ClusterRep::Faulty(FaultyRunner::new(w, p.clone(), replica_idx)),
-                    None => ClusterRep::Plain(w),
-                });
+                let mut w = SessionWorker::new(*kind, &cfg)?;
+                if !a.cluster {
+                    if let Some(path) = &a.load {
+                        w.warm_start(std::io::BufReader::new(std::fs::File::open(path)?))?;
+                    }
+                    w.enable_tracing();
+                }
+                replicas.push(FaultyRunner::new(w, plan.clone(), replica_idx));
                 replica_idx += 1;
             }
-            shards.push(replicas);
+            shard_groups.push(replicas);
         }
-        fleet.push(shards);
+        fleet.push(shard_groups);
+    }
+    if let Some(path) = &a.load {
+        println!("restored variables from {path} into {} replica(s)", a.replicas);
     }
 
     let mut specs: Vec<ModelSpec<'_>> = Vec::with_capacity(a.models.len());
     for (kind, shards_of) in a.models.iter().zip(fleet.iter_mut()) {
-        // One throwaway probe for shapes/domains; the closure owns them.
-        let probe = SessionWorker::new(
-            *kind,
-            &BuildConfig {
-                mode: Mode::Inference,
-                scale: a.scale,
-                device: Device::cpu(1),
-                seed: a.seed,
-                batch: Some(a.max_batch),
-                fusion: FusionLevel::Off,
-                precision: Precision::F32,
-            },
-        )?;
-        let shapes = probe.item_shapes();
-        let domains = probe.domains();
+        let shapes = shards_of[0][0].inner().item_shapes();
+        let domains = shards_of[0][0].inner().domains();
         specs.push(ModelSpec {
             name: kind.name().to_string(),
             shards: shards_of
@@ -845,32 +680,94 @@ fn cmd_serve_cluster(a: ServeArgs) -> Result<(), FathomError> {
         });
     }
 
-    let mix = match &a.slo_mix {
-        Some(spec) => SloMix::parse(spec).map_err(FathomError::Message)?,
-        None => SloMix::default_mix(),
+    let mut cfg = if a.cluster {
+        ClusterConfig {
+            mix: match &a.slo_mix {
+                Some(spec) => SloMix::parse(spec).map_err(FathomError::Message)?,
+                None => SloMix::default_mix(),
+            },
+            ..ClusterConfig::new(a.max_batch)
+        }
+    } else {
+        let closed_loop = match (a.clients, a.requests) {
+            (None, None) => None,
+            (clients, requests) => {
+                let clients = clients.unwrap_or(2 * a.max_batch);
+                Some(ClosedLoop { clients, requests: requests.unwrap_or(8 * clients) })
+            }
+        };
+        let mut cfg = ClusterConfig {
+            batching: BatchPolicy::FixedRound { max_delay_nanos: (a.max_delay_ms * 1e6) as u64 },
+            closed_loop,
+            ..ClusterConfig::single_model(a.max_batch)
+        };
+        cfg.slo.deadline_nanos[SloClass::Standard.idx()] = a.deadline_ms.map(|ms| (ms * 1e6) as u64);
+        cfg
     };
-    let cfg = ClusterConfig {
-        queue_cap: a.queue_cap.unwrap_or(16 * a.max_batch),
-        mix,
-        duration_nanos: (a.duration * 1e9) as u64,
-        seed: a.seed,
-        ..ClusterConfig::new(a.max_batch)
-    };
+    cfg.queue_cap = a.queue_cap.unwrap_or(cfg.queue_cap);
+    cfg.duration_nanos = (a.duration * 1e9) as u64;
+    cfg.seed = a.seed;
     let report = serve_cluster(&mut specs, &cfg)?;
     drop(specs);
 
-    println!(
-        "cluster | {} model(s) x {} shard(s) x {} replica(s) | {:.0} rps/model over {:.1} s",
-        a.models.len(),
-        a.shards,
-        a.replicas,
-        a.rps,
-        a.duration
-    );
-    print_cluster_report(&report);
+    if a.cluster {
+        println!(
+            "cluster | {} model(s) x {} shard(s) x {} replica(s) | {:.0} rps/model over {:.1} s",
+            a.models.len(),
+            a.shards,
+            a.replicas,
+            a.rps,
+            a.duration
+        );
+        print_cluster_report(&report);
+    } else {
+        let load = match cfg.closed_loop {
+            Some(ClosedLoop { clients, requests }) => {
+                format!("closed loop, {clients} clients x {requests} requests")
+            }
+            None => format!("open loop, {} rps over {} s", a.rps, a.duration),
+        };
+        let ms = |nanos: f64| nanos / 1e6;
+        let latency = &report.per_class[SloClass::Standard.idx()].latency;
+        let model = &report.models[0];
+        println!("{} | serve-bench | {load}", a.model.name());
+        println!(
+            "issued {}  completed {}  shed {}  timed-out {}",
+            report.issued(),
+            report.completed(),
+            report.shed(),
+            report.timed_out()
+        );
+        println!(
+            "throughput {:.1} req/s over {:.1} ms of virtual time",
+            report.throughput_rps(),
+            report.makespan_nanos as f64 / 1e6
+        );
+        println!(
+            "latency ms: p50 {:.3}  p95 {:.3}  p99 {:.3}  max {:.3}",
+            ms(latency.quantile(0.50)),
+            ms(latency.quantile(0.95)),
+            ms(latency.quantile(0.99)),
+            ms(latency.max()),
+        );
+        println!(
+            "batches {}  mean size {:.2}  max queue depth {}",
+            model.batches,
+            model.mean_batch(),
+            model.max_queue_depth
+        );
+        print_shed_reasons(&report);
+        print_recovery(&report);
+        print_runtime(&report.runtime);
+    }
     if let Some(path) = &a.out {
         std::fs::write(path, report.to_json())?;
         println!("wrote report to {path}");
+    }
+    if !report.conserved() {
+        return Err(FathomError::Message(
+            "serve-bench: issued != completed + shed + timed-out".into(),
+        ));
     }
     Ok(())
 }
@@ -922,25 +819,8 @@ fn print_cluster_report(report: &ClusterReport) {
             m.reloads
         );
     }
-    let reasons = report.shed_reasons();
-    if reasons.any() {
-        println!(
-            "  shed reasons: queue-full {}  deadline-infeasible {}  priority-evicted {}  \
-             replica-loss {}",
-            reasons.queue_full,
-            reasons.deadline_infeasible,
-            reasons.priority_evicted,
-            reasons.replica_loss
-        );
-    }
-    if report.recovery.any() {
-        let r = &report.recovery;
-        println!(
-            "  recovery: crashes {}  retried {}  dropped {}  quarantines {}  recoveries {}  \
-             dead replicas {}",
-            r.crashes, r.retried, r.dropped, r.quarantines, r.recoveries, r.dead_replicas
-        );
-    }
+    print_shed_reasons(report);
+    print_recovery(report);
     print_runtime(&report.runtime);
 }
 
@@ -1066,9 +946,24 @@ fn cmd_cluster_check(seed: u64) -> Result<(), FathomError> {
     }
 }
 
+/// One line of typed shed reasons, only when anything was shed.
+fn print_shed_reasons(report: &ClusterReport) {
+    let reasons = report.shed_reasons();
+    if reasons.any() {
+        println!(
+            "shed reasons: queue-full {}  deadline-infeasible {}  priority-evicted {}  \
+             replica-loss {}",
+            reasons.queue_full,
+            reasons.deadline_infeasible,
+            reasons.priority_evicted,
+            reasons.replica_loss
+        );
+    }
+}
+
 /// One line of supervisor activity, only when there was any — fault-free
 /// output stays identical to earlier builds.
-fn print_recovery(report: &ServeReport) {
+fn print_recovery(report: &ClusterReport) {
     if report.recovery.any() {
         let r = &report.recovery;
         println!(
@@ -1383,29 +1278,32 @@ fn cmd_chaos(model: ModelKind, seed: u64) -> Result<(), FathomError> {
         }
         let shapes = workers[0].inner().item_shapes();
         let domains = workers[0].inner().domains();
-        let serve_cfg = ServeConfig { seed, ..ServeConfig::new(2) };
-        let load = LoadModel::Closed { clients: 2, requests: 8 };
-        let mut runners: Vec<&mut dyn BatchRunner> =
-            workers.iter_mut().map(|w| w as &mut dyn BatchRunner).collect();
-        let report = serve(
-            &mut runners,
-            &serve_cfg,
-            &load,
-            &mut |rng, _id| synth_inputs(&shapes, &domains, rng),
-            model.name(),
-        )?;
+        let mut specs = vec![ModelSpec {
+            name: model.name().to_string(),
+            shards: vec![workers.iter_mut().map(|w| w as &mut dyn ClusterRunner).collect()],
+            rps: 0.0,
+            synth: Box::new(move |rng, _id| synth_inputs(&shapes, &domains, rng)),
+        }];
+        let serve_cfg = ClusterConfig {
+            seed,
+            closed_loop: Some(ClosedLoop { clients: 2, requests: 8 }),
+            ..ClusterConfig::single_model(2)
+        };
+        let report = serve_cluster(&mut specs, &serve_cfg)?;
         println!(
             "  serve: issued {}  completed {}  shed {}  timed-out {}",
-            report.issued, report.completed, report.shed, report.timed_out
+            report.issued(),
+            report.completed(),
+            report.shed(),
+            report.timed_out()
         );
         print_recovery(&report);
-        let conserved = report.issued == report.completed + report.shed + report.timed_out;
         let recovered = report.recovery.crashes >= 1
             && report.recovery.retried >= 1
-            && report.completed == report.issued;
+            && report.completed() == report.issued();
         probe(
             "serve: replica crash retried on healthy replica, zero requests lost",
-            conserved && recovered,
+            report.conserved() && recovered,
             &mut failures,
         );
     }
@@ -1427,6 +1325,5 @@ fn cmd_dot(a: RunArgs) -> Result<(), FathomError> {
         "wrote {}-node graph to {out} (render with: dot -Tsvg {out} -o graph.svg)",
         model.session().graph().len()
     );
-    let _ = Mode::Inference; // silence unused import warnings in some cfgs
     Ok(())
 }

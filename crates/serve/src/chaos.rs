@@ -5,8 +5,8 @@
 //! replica's next batch should crash or stall. Because the plan is
 //! seeded and counts dispatches deterministically, the same plan spec
 //! reproduces the identical failure schedule — and therefore the
-//! identical [`ServeReport`](crate::metrics::ServeReport) — run after
-//! run.
+//! identical [`ClusterReport`](crate::cluster::ClusterReport) — run
+//! after run.
 
 use std::sync::Arc;
 
@@ -28,10 +28,10 @@ pub struct FaultyRunner<R: BatchRunner> {
 }
 
 impl<R: BatchRunner> FaultyRunner<R> {
-    /// Wraps `inner` as replica `replica` under `plan`. The index must
-    /// match the runner's position in the slice handed to
-    /// [`serve`](crate::engine::serve) for `replica<N>` specs to target
-    /// the intended worker.
+    /// Wraps `inner` as replica `replica` under `plan`. `replica<N>`
+    /// specs target the runner wrapped with index `N`; callers of
+    /// [`serve_cluster`](crate::cluster::serve_cluster) number replicas
+    /// fleet-wide in model → shard → replica order.
     pub fn new(inner: R, plan: Arc<FaultPlan>, replica: usize) -> Self {
         FaultyRunner { inner, plan, replica }
     }

@@ -1,10 +1,11 @@
-//! fathom-cluster: many models behind one front door.
+//! fathom-cluster: the serving event loop, from one model to a fleet.
 //!
-//! The single-model engine (`engine.rs`) answers "how do I batch
-//! requests for *this* graph"; this module answers the fleet-level
-//! questions production serving actually hinges on — which shard takes
-//! a request, who gets shed when the fleet is saturated, and how a model
-//! is swapped under load without dropping anything. Concretely:
+//! [`serve_cluster`] is the only virtual-time serving loop in the crate.
+//! A fleet-level run asks which shard takes a request, who gets shed
+//! when the fleet is saturated, and how a model is swapped under load
+//! without dropping anything; single-model serving is the same loop
+//! with one model, one shard of replicas, and fixed rounds.
+//! Concretely:
 //!
 //! * **Sharded routing** — each model owns a group of shards (each
 //!   shard a set of replicas sharing one queue). A [`Router`] places
@@ -21,9 +22,13 @@
 //! * **Continuous batching** — under [`BatchPolicy::Continuous`] a
 //!   replica that frees up immediately takes whatever is queued (up to
 //!   `max_batch`), so newly arrived requests join the very next batch.
-//!   [`BatchPolicy::FixedRound`] reproduces the single-model engine's
-//!   pack/run/split rounds (wait for a full batch or `max_delay`) for
-//!   A/B comparison — `BENCH_serve.json`'s cluster scenario runs both.
+//!   [`BatchPolicy::FixedRound`] packs/runs/splits in rounds (wait for a
+//!   full batch or `max_delay`); single-model serving uses it, and
+//!   `BENCH_serve.json`'s cluster scenario A/Bs the two.
+//! * **Open or closed load** — each model offers an open-loop Poisson
+//!   stream at its `rps`, or, with [`ClusterConfig::closed_loop`], a
+//!   fixed set of clients that each send the next request the moment
+//!   the previous one resolves.
 //! * **Hot reload** — a [`ReloadPlan`] swaps a model's weights from a
 //!   v2 checkpoint at a virtual time, rolling: one replica per shard at
 //!   a time drains (finishes its in-flight batch), swaps via
@@ -31,19 +36,20 @@
 //!   dropped; it is served by the not-currently-swapping replicas and
 //!   replayed onto the reloaded ones.
 //!
-//! Like the engine, everything runs in deterministic virtual time: the
-//! same seed and runner behavior reproduce the identical
-//! [`ClusterReport`], which is what lets `tests/serving.rs` assert exact
-//! conservation and zero-loss properties under injected crashes.
+//! Time is *virtual*: arrivals come from a seeded stochastic process and
+//! each batch advances the clock by its measured (or, in tests,
+//! injected) service time. The same seed and runner behavior reproduce
+//! the identical [`ClusterReport`], which is what lets
+//! `tests/serving.rs` assert exact conservation and zero-loss properties
+//! under injected crashes without ever sleeping.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 use fathom_tensor::{Rng, Tensor};
 
-use fathom_dataflow::RuntimeCounters;
+use fathom_dataflow::{OpClass, RuntimeCounters};
 
-use crate::engine::{failure_verdict, FailureVerdict, RecoveryPolicy};
 use crate::metrics::{json_f64, LatencyHistogram, RecoveryCounters, ShedBreakdown};
 use crate::router::Router;
 use crate::slo::{SloClass, SloMix, SloPolicy};
@@ -79,14 +85,49 @@ pub enum BatchPolicy {
     /// requests — arrivals join the next batch as soon as capacity
     /// exists.
     Continuous,
-    /// The single-model engine's rule: dispatch only once the queue
-    /// holds a full batch, the oldest request has waited `max_delay`,
-    /// or arrivals have drained.
+    /// Rounds: dispatch only once the queue holds a full batch, the
+    /// oldest request has waited `max_delay`, or arrivals have drained.
+    /// Single-model serving (one model, one shard) runs this policy.
     FixedRound {
         /// Longest the oldest queued request may wait before a partial
         /// batch dispatches anyway, virtual nanoseconds.
         max_delay_nanos: u64,
     },
+}
+
+/// Supervisor policy: what happens to a replica that fails a batch and
+/// to the requests that were riding it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecoveryPolicy {
+    /// Times one request may be re-queued after riding a failed batch
+    /// before it is dropped (dropped requests count as shed).
+    pub max_retries: u32,
+    /// Quarantine length after a replica's first failure, in virtual
+    /// nanoseconds; doubles with each subsequent restart of the same
+    /// replica (exponential backoff).
+    pub backoff_nanos: u64,
+    /// Rebuilds attempted before a replica is retired for good.
+    pub max_restarts: u32,
+}
+
+impl Default for RecoveryPolicy {
+    /// Two retries per request, 5 ms initial backoff, two restarts per
+    /// replica.
+    fn default() -> Self {
+        RecoveryPolicy { max_retries: 2, backoff_nanos: 5_000_000, max_restarts: 2 }
+    }
+}
+
+/// Closed-loop load: `clients` concurrent callers per model, each
+/// issuing its next request the moment the previous one resolves
+/// (completes, is shed, or times out), until `requests` have been
+/// issued for that model.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ClosedLoop {
+    /// Concurrent callers per model.
+    pub clients: usize,
+    /// Total requests per model across all callers.
+    pub requests: usize,
 }
 
 /// One scheduled hot model swap.
@@ -115,6 +156,9 @@ pub struct ClusterConfig {
     pub mix: SloMix,
     /// Open-loop arrival window, virtual nanoseconds.
     pub duration_nanos: u64,
+    /// Closed-loop load for every model, replacing the open-loop
+    /// stream (`ModelSpec::rps` and `duration_nanos` are then unused).
+    pub closed_loop: Option<ClosedLoop>,
     /// Seed for arrivals, class draws, and payload synthesis.
     pub seed: u64,
     /// Supervisor behavior for failed replicas.
@@ -130,8 +174,8 @@ pub struct ClusterConfig {
 
 impl ClusterConfig {
     /// Continuous batching, a queue of `16 * max_batch` per shard, the
-    /// default SLO policy and mix, load-aware spill at `2 * max_batch`,
-    /// a 1 ms swap, and no reloads.
+    /// default SLO policy and mix, a 1 s open-loop window, load-aware
+    /// spill at `2 * max_batch`, a 1 ms swap, and no reloads.
     pub fn new(max_batch: usize) -> Self {
         ClusterConfig {
             max_batch,
@@ -140,11 +184,26 @@ impl ClusterConfig {
             slo: SloPolicy::default_serving(),
             mix: SloMix::default_mix(),
             duration_nanos: 1_000_000_000,
+            closed_loop: None,
             seed: 0xC1057E4,
             recovery: RecoveryPolicy::default(),
             spill_threshold: Some(2 * max_batch),
             swap_nanos: 1_000_000,
             reloads: Vec::new(),
+        }
+    }
+
+    /// Single-model serving, for one model behind one shard: fixed
+    /// rounds with a 2 ms max delay, a queue of `8 * max_batch`, and
+    /// every request in the `Standard` class with no deadline; the rest
+    /// as [`ClusterConfig::new`].
+    pub fn single_model(max_batch: usize) -> Self {
+        ClusterConfig {
+            queue_cap: 8 * max_batch,
+            batching: BatchPolicy::FixedRound { max_delay_nanos: 2_000_000 },
+            slo: SloPolicy { deadline_nanos: [None; SloClass::COUNT] },
+            mix: SloMix::pure(SloClass::Standard),
+            ..ClusterConfig::new(max_batch)
         }
     }
 }
@@ -161,7 +220,8 @@ pub struct ModelSpec<'a> {
     /// `shards[s]` holds the replicas of shard `s`; every shard shares
     /// one queue.
     pub shards: Vec<Vec<&'a mut dyn ClusterRunner>>,
-    /// Offered open-loop Poisson rate, requests per second.
+    /// Offered open-loop Poisson rate, requests per second (unused
+    /// under [`ClusterConfig::closed_loop`]).
     pub rps: f64,
     /// Synthesizes one admitted request's payload.
     pub synth: SynthFn<'a>,
@@ -217,6 +277,11 @@ pub struct ModelReport {
     pub spilled: u64,
     /// Completed replica swaps from hot reloads.
     pub reloads: u64,
+    /// Deepest shard queue observed right after an admission.
+    pub max_queue_depth: usize,
+    /// Op time by paper class A-G summed over its batches (all zeros
+    /// unless the replicas trace).
+    pub class_nanos: [f64; 7],
 }
 
 impl ModelReport {
@@ -382,10 +447,16 @@ impl ClusterReport {
             .models
             .iter()
             .map(|m| {
+                let class_nanos: Vec<String> = OpClass::ALL
+                    .iter()
+                    .zip(m.class_nanos)
+                    .map(|(c, nanos)| format!("\"{}\": {}", c.letter(), json_f64(nanos, 0)))
+                    .collect();
                 format!(
                     "    {{\"model\": \"{}\", \"shards\": {}, \"replicas\": {}, \"issued\": {}, \
                      \"completed\": {}, \"shed\": {}, \"timed_out\": {}, \"spilled\": {}, \
-                     \"reloads\": {}, \"batches\": {}, \"mean_batch\": {},\n      \"classes\": {}}}",
+                     \"reloads\": {}, \"batches\": {}, \"mean_batch\": {}, \"max_queue_depth\": {},\n      \
+                     \"class_nanos\": {{{}}},\n      \"classes\": {}}}",
                     m.model,
                     m.shards,
                     m.replicas,
@@ -397,6 +468,8 @@ impl ClusterReport {
                     m.reloads,
                     m.batches,
                     json_f64(m.mean_batch(), 2),
+                    m.max_queue_depth,
+                    class_nanos.join(", "),
                     class_json(&m.per_class, "      "),
                 )
             })
@@ -491,24 +564,61 @@ struct ReplicaState {
     applied_gen: usize,
 }
 
-/// Runs one cluster experiment: offers each model's open-loop load to
-/// its shard group under `cfg`, routing through consistent hashing with
+/// Applies the recovery policy to one more failure of a replica:
+/// exponential backoff while the restart budget lasts, retirement after.
+fn fail_replica(
+    rep: &mut ReplicaState,
+    policy: &RecoveryPolicy,
+    now: u64,
+    counters: &mut RecoveryCounters,
+) {
+    if rep.restarts >= policy.max_restarts {
+        counters.dead_replicas += 1;
+        rep.state = RepState::Dead;
+    } else {
+        let backoff = policy.backoff_nanos.saturating_mul(1u64 << rep.restarts.min(32));
+        rep.restarts += 1;
+        counters.quarantines += 1;
+        rep.state = RepState::Quarantined { until: now.saturating_add(backoff.max(1)) };
+    }
+}
+
+/// Arrival timeline: `(virtual time, model, per-model sequence)`,
+/// earliest first.
+type Arrivals = BinaryHeap<Reverse<(u64, usize, u64)>>;
+
+/// Closed loop: lets one of model `m`'s clients issue its next request
+/// at `at`, while the model's request budget (`unissued`) lasts.
+fn reissue(arrivals: &mut Arrivals, unissued: &mut usize, m: usize, at: u64) {
+    if *unissued > 0 {
+        *unissued -= 1;
+        arrivals.push(Reverse((at, m, *unissued as u64)));
+    }
+}
+
+/// Runs one serving experiment: offers each model's load (open-loop
+/// Poisson, or closed-loop under [`ClusterConfig::closed_loop`]) to its
+/// shard group under `cfg`, routing through consistent hashing with
 /// load-aware spill, admitting by SLO class, and applying any scheduled
-/// hot reloads. Returns when every admitted request has resolved.
+/// hot reloads. Returns when every admitted request has resolved —
+/// graceful drain, never mid-flight abandonment.
 ///
-/// Supervision matches the single-model engine: a crashed batch
-/// requeues (front of its class queues) with per-request retry budgets,
-/// the replica quarantines with exponential backoff and recovers via
-/// [`BatchRunner::recover`], and a shard whose replicas all die has its
-/// queue re-routed to surviving shards (or shed as `replica_loss` when
-/// the whole model is dead). Conservation holds per class:
-/// `issued == completed + shed + timed_out`.
+/// A runner failure does *not* abort the run: the supervisor requeues
+/// the crashed batch (front of its class queues) with per-request retry
+/// budgets ([`RecoveryPolicy::max_retries`], then the request is
+/// dropped and counted as shed), quarantines the replica with
+/// exponential backoff and recovers it via [`BatchRunner::recover`],
+/// and retires replicas that keep failing. A shard whose replicas all
+/// die has its queue re-routed to surviving shards (or shed as
+/// `replica_loss` when the whole model is dead). Conservation holds per
+/// class: `issued == completed + shed + timed_out`.
 ///
 /// # Errors
 ///
 /// Returns [`ServeError::Unservable`] on an empty or zero-capacity
-/// fleet or a non-positive rate, and [`ServeError::Fault`] if the event
-/// loop ever stalls (an engine bug).
+/// fleet or, for open-loop load, a non-positive rate, and
+/// [`ServeError::Fault`] if the event loop ever stalls (a loop bug, not
+/// a replica failure).
 pub fn serve_cluster(
     models: &mut [ModelSpec<'_>],
     cfg: &ClusterConfig,
@@ -533,7 +643,7 @@ pub fn serve_cluster(
                 spec.name
             )));
         }
-        if cfg.rps_invalid(spec.rps) {
+        if cfg.closed_loop.is_none() && (spec.rps.is_nan() || spec.rps <= 0.0) {
             return Err(ServeError::Unservable(format!(
                 "model {} needs a positive offered rate",
                 spec.name
@@ -541,11 +651,21 @@ pub fn serve_cluster(
         }
     }
 
-    // Pre-compute every model's Poisson arrival trace; the heap merges
-    // them into one deterministic timeline (ties break by model order,
-    // then per-model sequence).
-    let mut arrivals: BinaryHeap<Reverse<(u64, usize, u64)>> = BinaryHeap::new();
+    // Pre-compute every model's Poisson arrival trace, or seed each
+    // closed-loop client's first request at t=0; the heap merges them
+    // into one deterministic timeline (ties break by model order, then
+    // per-model sequence). `unissued` is each model's remaining
+    // closed-loop budget (always 0 for open loop).
+    let mut arrivals = Arrivals::new();
+    let mut unissued = vec![0usize; models.len()];
     for (m, spec) in models.iter().enumerate() {
+        if let Some(ClosedLoop { clients, requests }) = cfg.closed_loop {
+            unissued[m] = requests;
+            for _ in 0..clients {
+                reissue(&mut arrivals, &mut unissued[m], m, 0);
+            }
+            continue;
+        }
         let mut arr_rng = Rng::seeded(cfg.seed ^ (0x9E37_79B9 + m as u64));
         let mut t = 0.0f64;
         let mut seq = 0u64;
@@ -609,6 +729,8 @@ pub fn serve_cluster(
                 batched_requests: 0,
                 spilled: 0,
                 reloads: 0,
+                max_queue_depth: 0,
+                class_nanos: [0.0; 7],
             })
             .collect(),
         per_class: Default::default(),
@@ -631,6 +753,9 @@ pub fn serve_cluster(
 
     let mut now = 0u64;
     let mut next_id = 0u64;
+    // Per model, sheds plus timeouts already answered with a closed-loop
+    // re-issue.
+    let mut lost_seen = vec![0u64; models.len()];
 
     loop {
         // 1. Completions, quarantine expiry, reload completion.
@@ -654,19 +779,7 @@ pub fn serve_cluster(
                                     // may predate a reload that rolled out
                                     // while it was down; catch up below.
                                 }
-                                Err(_) => {
-                                    match failure_verdict(
-                                        &mut rep.restarts,
-                                        &cfg.recovery,
-                                        now,
-                                        &mut report.recovery,
-                                    ) {
-                                        FailureVerdict::Retire => rep.state = RepState::Dead,
-                                        FailureVerdict::Quarantine { until } => {
-                                            rep.state = RepState::Quarantined { until }
-                                        }
-                                    }
-                                }
+                                Err(_) => fail_replica(rep, &cfg.recovery, now, &mut report.recovery),
                             }
                         }
                         _ => {}
@@ -706,17 +819,7 @@ pub fn serve_cluster(
                         }
                         Err(_) => {
                             report.recovery.crashes += 1;
-                            match failure_verdict(
-                                &mut rep.restarts,
-                                &cfg.recovery,
-                                now,
-                                &mut report.recovery,
-                            ) {
-                                FailureVerdict::Retire => rep.state = RepState::Dead,
-                                FailureVerdict::Quarantine { until } => {
-                                    rep.state = RepState::Quarantined { until }
-                                }
-                            }
+                            fail_replica(rep, &cfg.recovery, now, &mut report.recovery);
                         }
                     }
                     break; // one replica per shard per rollout step
@@ -816,7 +919,8 @@ pub fn serve_cluster(
                 }
             }
             let inputs = (models[m].synth)(&mut rng, id);
-            shards[m][s].queues[class.idx()].push_back(QueuedReq {
+            let shard = &mut shards[m][s];
+            shard.queues[class.idx()].push_back(QueuedReq {
                 id,
                 arrival: at,
                 class,
@@ -824,6 +928,8 @@ pub fn serve_cluster(
                 inputs,
                 retries: 0,
             });
+            let depth = &mut report.models[m].max_queue_depth;
+            *depth = (*depth).max(shard.queued());
         }
 
         // 4. Deadline expiry of queued requests.
@@ -932,29 +1038,24 @@ pub fn serve_cluster(
                             } else {
                                 0.7 * shard.est_batch_nanos + 0.3 * result.service_nanos
                             };
-                            report.models[m].batches += 1;
-                            report.models[m].batched_requests += batch.len() as u64;
+                            let model = &mut report.models[m];
+                            model.batches += 1;
+                            model.batched_requests += batch.len() as u64;
+                            for (total, nanos) in model.class_nanos.iter_mut().zip(result.class_nanos) {
+                                *total += nanos;
+                            }
                             report.makespan_nanos = report.makespan_nanos.max(done);
                             for q in &batch {
-                                let stats = &mut report.models[m].per_class[q.class.idx()];
-                                stats.completed += 1;
+                                model.per_class[q.class.idx()].completed += 1;
                                 shard.latency[q.class.idx()].record((done - q.arrival) as f64);
+                                // A closed-loop client sends its next
+                                // request once this reply lands.
+                                reissue(&mut arrivals, &mut unissued[m], m, done);
                             }
                         }
                         Err(_) => {
                             report.recovery.crashes += 1;
-                            let rep = &mut reps[m][s][r];
-                            match failure_verdict(
-                                &mut rep.restarts,
-                                &cfg.recovery,
-                                now,
-                                &mut report.recovery,
-                            ) {
-                                FailureVerdict::Retire => rep.state = RepState::Dead,
-                                FailureVerdict::Quarantine { until } => {
-                                    rep.state = RepState::Quarantined { until }
-                                }
-                            }
+                            fail_replica(&mut reps[m][s][r], &cfg.recovery, now, &mut report.recovery);
                             for mut q in batch.into_iter().rev() {
                                 if q.retries >= cfg.recovery.max_retries {
                                     report.recovery.dropped += 1;
@@ -970,6 +1071,18 @@ pub fn serve_cluster(
                         }
                     }
                 }
+            }
+        }
+
+        // Closed loop: every request shed, timed out or dropped during
+        // this step frees its client to issue the next one now.
+        for (m, model) in report.models.iter().enumerate() {
+            if unissued[m] > 0 {
+                let lost = model.shed() + model.timed_out();
+                for _ in lost_seen[m]..lost {
+                    reissue(&mut arrivals, &mut unissued[m], m, now);
+                }
+                lost_seen[m] = lost;
             }
         }
 
@@ -1022,12 +1135,11 @@ pub fn serve_cluster(
                 }
             }
         }
-        for (m, plans) in reload_plans.iter().enumerate() {
+        for plans in &reload_plans {
             let gen = plans.iter().filter(|p| p.at_nanos <= now).count();
             if gen < plans.len() {
                 consider(plans[gen].at_nanos);
             }
-            let _ = m;
         }
         match next {
             Some(t) => now = t,
@@ -1064,30 +1176,31 @@ pub fn serve_cluster(
     Ok(report)
 }
 
-impl ClusterConfig {
-    /// True when `rps` cannot drive an open-loop arrival process.
-    fn rps_invalid(&self, rps: f64) -> bool {
-        rps.is_nan() || rps <= 0.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::worker::BatchResult;
 
-    /// Deterministic runner with a fixed per-batch service time; records
-    /// the ids it served and the reload checkpoints it applied.
+    /// Deterministic runner with a fixed per-batch service time, all of
+    /// it attributed to op class A; records the ids it served, its batch
+    /// sizes, and the reload checkpoints it applied.
     struct FakeRunner {
         capacity: usize,
         service_nanos: f64,
         served: Vec<u64>,
+        sizes: Vec<usize>,
         reloaded: Vec<Vec<u8>>,
     }
 
     impl FakeRunner {
         fn new(capacity: usize, service_nanos: f64) -> Self {
-            FakeRunner { capacity, service_nanos, served: Vec::new(), reloaded: Vec::new() }
+            FakeRunner {
+                capacity,
+                service_nanos,
+                served: Vec::new(),
+                sizes: Vec::new(),
+                reloaded: Vec::new(),
+            }
         }
     }
 
@@ -1098,10 +1211,13 @@ mod tests {
 
         fn run_batch(&mut self, reqs: &[&Request]) -> Result<BatchResult, ServeError> {
             self.served.extend(reqs.iter().map(|r| r.id));
+            self.sizes.push(reqs.len());
+            let mut class_nanos = [0.0; 7];
+            class_nanos[0] = self.service_nanos;
             Ok(BatchResult {
                 outputs: reqs.iter().map(|_| Tensor::zeros([1])).collect(),
                 service_nanos: self.service_nanos,
-                class_nanos: [0.0; 7],
+                class_nanos,
             })
         }
     }
@@ -1374,13 +1490,263 @@ mod tests {
         ));
     }
 
+    /// One model behind one shard of `replicas`, served with
+    /// [`ClusterConfig::single_model`] rules.
+    fn single<'a>(replicas: Vec<&'a mut dyn ClusterRunner>, rps: f64) -> Vec<ModelSpec<'a>> {
+        vec![spec("solo", vec![replicas], rps)]
+    }
+
+    #[test]
+    fn fixed_rounds_fill_batches_under_overload() {
+        // Service is slow relative to arrivals, so the queue backs up and
+        // rounds dispatch at the coalescing limit.
+        let mut only = FakeRunner::new(4, 50_000_000.0);
+        let cfg = ClusterConfig {
+            queue_cap: 64,
+            duration_nanos: 200_000_000,
+            ..ClusterConfig::single_model(4)
+        };
+        let r = serve_cluster(&mut single(vec![&mut only], 1_000.0), &cfg).expect("serves");
+        assert!(r.conserved());
+        let full = only.sizes.iter().filter(|&&n| n == 4).count();
+        assert!(full * 2 > only.sizes.len(), "expected mostly full batches, sizes {:?}", only.sizes);
+        assert!(r.models[0].max_queue_depth > 4);
+    }
+
+    #[test]
+    fn closed_loop_issues_exactly_the_request_budget() {
+        let mut only = FakeRunner::new(8, 3_000_000.0);
+        let cfg = ClusterConfig {
+            closed_loop: Some(ClosedLoop { clients: 6, requests: 40 }),
+            ..ClusterConfig::single_model(4)
+        };
+        // The rate is ignored (and not validated) under closed loop.
+        let r = serve_cluster(&mut single(vec![&mut only], 0.0), &cfg).expect("serves");
+        assert_eq!(r.issued(), 40);
+        assert_eq!(r.completed(), 40);
+        assert_eq!(r.shed(), 0);
+        assert!(only.sizes.iter().all(|&n| n <= 4), "sizes {:?}", only.sizes);
+        // Six clients with zero think time never have more than six
+        // requests in the system.
+        assert!(r.models[0].max_queue_depth <= 6);
+    }
+
+    #[test]
+    fn closed_loop_clients_retry_after_a_shed() {
+        // Two slots for four clients: sheds hand the client straight back
+        // its next request, so the budget is spent and every request
+        // resolves exactly once.
+        let mut only = FakeRunner::new(2, 10_000_000.0);
+        let cfg = ClusterConfig {
+            queue_cap: 2,
+            closed_loop: Some(ClosedLoop { clients: 4, requests: 30 }),
+            ..ClusterConfig::single_model(2)
+        };
+        let r = serve_cluster(&mut single(vec![&mut only], 0.0), &cfg).expect("serves");
+        assert!(r.conserved());
+        assert_eq!(r.issued(), 30);
+        assert!(r.shed() > 0, "a two-slot queue must shed four clients");
+        assert_eq!(r.shed_reasons().queue_full, r.shed());
+        assert_eq!(only.served.len() as u64, r.completed());
+    }
+
+    #[test]
+    fn tiny_queue_sheds_under_overload() {
+        let mut only = FakeRunner::new(2, 100_000_000.0);
+        let cfg = ClusterConfig {
+            queue_cap: 2,
+            duration_nanos: 500_000_000,
+            ..ClusterConfig::single_model(2)
+        };
+        let r = serve_cluster(&mut single(vec![&mut only], 500.0), &cfg).expect("serves");
+        assert!(r.shed() > 0, "queue_cap=2 under 500 rps must shed");
+        assert!(r.conserved(), "every shed carries a reason and every request resolves");
+        assert_eq!(r.shed_reasons().queue_full, r.shed(), "admission sheds are queue-full");
+        assert!(r.to_json().contains(&format!("\"queue_full\": {}", r.shed())));
+    }
+
+    #[test]
+    fn deadlines_time_out_queued_work() {
+        // One slow replica: a request that waits out most of a 100 ms
+        // batch cannot finish inside its 150 ms deadline and is timed
+        // out at dispatch instead of served late.
+        let mut only = FakeRunner::new(1, 100_000_000.0);
+        let mut cfg = ClusterConfig { queue_cap: 64, ..ClusterConfig::single_model(1) };
+        cfg.slo.deadline_nanos[SloClass::Standard.idx()] = Some(150_000_000);
+        let r = serve_cluster(&mut single(vec![&mut only], 100.0), &cfg).expect("serves");
+        assert!(r.timed_out() > 0, "expected deadline expirations");
+        assert!(r.conserved());
+        let latency = &r.per_class[SloClass::Standard.idx()].latency;
+        assert!(latency.max() <= 150_000_000.0, "nothing completes past its deadline");
+        // In-flight work is never cancelled: every dispatched request completes.
+        assert_eq!(only.served.len() as u64, latency.count() as u64);
+    }
+
+    #[test]
+    fn two_replicas_share_one_shard_queue() {
+        let mut a = FakeRunner::new(4, 20_000_000.0);
+        let mut b = FakeRunner::new(4, 20_000_000.0);
+        let cfg = ClusterConfig {
+            queue_cap: 64,
+            duration_nanos: 300_000_000,
+            ..ClusterConfig::single_model(4)
+        };
+        let r = serve_cluster(&mut single(vec![&mut a, &mut b], 400.0), &cfg).expect("serves");
+        assert_eq!(r.models[0].replicas, 2);
+        assert!(r.conserved());
+        assert!(!a.served.is_empty() && !b.served.is_empty(), "both replicas must serve");
+        assert_eq!(r.completed(), (a.served.len() + b.served.len()) as u64);
+    }
+
+    #[test]
+    fn stalled_replica_inflates_service_time_deterministically() {
+        use crate::chaos::FaultyRunner;
+        use fathom_dataflow::{FaultAction, FaultPlan, FaultSite};
+        use std::sync::Arc;
+
+        let plan = Arc::new(FaultPlan::new(1).with(
+            FaultSite::ServeBatch { replica: 0 },
+            0,
+            FaultAction::Stall { nanos: 40_000_000 },
+        ));
+        let mut only = FaultyRunner::new(FakeRunner::new(4, 5_000_000.0), plan, 0);
+        let cfg = ClusterConfig {
+            closed_loop: Some(ClosedLoop { clients: 2, requests: 2 }),
+            ..ClusterConfig::single_model(4)
+        };
+        let r = serve_cluster(&mut single(vec![&mut only], 0.0), &cfg).expect("serves");
+        assert_eq!(r.completed(), 2);
+        assert_eq!(r.models[0].batches, 1);
+        assert_eq!(r.makespan_nanos, 45_000_000, "the stall adds to the batch's service time");
+    }
+
+    #[test]
+    fn drain_flushes_partial_batches() {
+        // 3 requests, max_batch 4, a huge max_delay: once arrivals are
+        // exhausted the loop must not wait out the delay timer.
+        let mut only = FakeRunner::new(4, 1_000_000.0);
+        let cfg = ClusterConfig {
+            batching: BatchPolicy::FixedRound { max_delay_nanos: u64::MAX / 2 },
+            closed_loop: Some(ClosedLoop { clients: 3, requests: 3 }),
+            ..ClusterConfig::single_model(4)
+        };
+        let r = serve_cluster(&mut single(vec![&mut only], 0.0), &cfg).expect("serves");
+        assert_eq!(r.completed(), 3);
+        assert_eq!(only.sizes, vec![3]);
+    }
+
+    /// Every counter and latency quantile of a run: one line for the
+    /// fleet, then per model one line plus one per class
+    /// (`issued/completed/shed/timed_out`, shed reasons, p50/p99/max ns).
+    fn fingerprint(r: &ClusterReport) -> Vec<String> {
+        let mut lines = vec![format!("makespan {} {:?}", r.makespan_nanos, r.recovery)];
+        for m in &r.models {
+            lines.push(format!(
+                "{} batches {} carried {} spilled {}",
+                m.model, m.batches, m.batched_requests, m.spilled
+            ));
+            for c in &m.per_class {
+                let why = &c.shed_reasons;
+                lines.push(format!(
+                    "{}/{}/{}/{} why {}/{}/{}/{} p50 {} p99 {} max {}",
+                    c.issued,
+                    c.completed,
+                    c.shed,
+                    c.timed_out,
+                    why.queue_full,
+                    why.deadline_infeasible,
+                    why.priority_evicted,
+                    why.replica_loss,
+                    c.latency.quantile(0.50),
+                    c.latency.quantile(0.99),
+                    c.latency.max()
+                ));
+            }
+        }
+        lines
+    }
+
+    #[test]
+    fn open_loop_fleet_reproduces_its_pinned_counters() {
+        use crate::chaos::FaultyRunner;
+        use fathom_dataflow::{FaultAction, FaultPlan, FaultSite};
+        use std::sync::Arc;
+
+        // Two models, one of them overloaded across two shards with one
+        // injected crash: admission, eviction, deadlines, retry and
+        // quarantine all fire. The pinned lines were recorded before the
+        // loop learned closed-loop load, so open-loop runs must still
+        // reproduce them exactly.
+        let run = |batching: BatchPolicy| {
+            let plan = Arc::new(
+                FaultPlan::new(11).with(FaultSite::ServeBatch { replica: 0 }, 3, FaultAction::Crash),
+            );
+            let mut crashy = FaultyRunner::new(FakeRunner::new(4, 15_000_000.0), plan, 0);
+            let mut healthy = FakeRunner::new(4, 15_000_000.0);
+            let mut other = FakeRunner::new(4, 2_000_000.0);
+            let mut models = vec![
+                spec("alpha", vec![vec![&mut crashy], vec![&mut healthy]], 1_500.0),
+                spec("beta", vec![vec![&mut other]], 600.0),
+            ];
+            let cfg = ClusterConfig {
+                duration_nanos: 300_000_000,
+                queue_cap: 16,
+                batching,
+                ..ClusterConfig::new(4)
+            };
+            let r = serve_cluster(&mut models, &cfg).expect("serves");
+            assert!(r.conserved());
+            fingerprint(&r)
+        };
+        let cont = run(BatchPolicy::Continuous);
+        let fixed = run(BatchPolicy::FixedRound { max_delay_nanos: 2_000_000 });
+        let recovery = "RecoveryCounters { crashes: 1, retried: 4, dropped: 0, \
+                        quarantines: 1, recoveries: 1, dead_replicas: 0 }";
+        assert_eq!(
+            cont,
+            [
+                format!("makespan 365183495 {recovery}").as_str(),
+                "alpha batches 47 carried 182 spilled 3",
+                "198/161/20/17 why 0/20/0/0 p50 38997764 p99 49890048 max 49894468",
+                "147/21/118/8 why 63/0/55/0 p50 89826116 p99 149511024 max 149511024",
+                "96/0/96/0 why 48/0/48/0 p50 0 p99 0 max 0",
+                "beta batches 117 carried 158 spilled 0",
+                "74/74/0/0 why 0/0/0/0 p50 2625830 p99 3983688 max 3983688",
+                "41/41/0/0 why 0/0/0/0 p50 2433983 p99 3927359 max 3927359",
+                "43/43/0/0 why 0/0/0/0 p50 3077406 p99 3900411 max 3900411",
+            ]
+        );
+        assert_eq!(
+            fixed,
+            [
+                format!("makespan 367183495 {recovery}").as_str(),
+                "alpha batches 47 carried 187 spilled 0",
+                "198/162/16/20 why 0/16/0/0 p50 38812772 p99 49659418 max 49966826",
+                "147/21/118/8 why 59/0/59/0 p50 59563512 p99 129983482 max 129983482",
+                "96/4/92/0 why 48/0/44/0 p50 73165940 p99 79242410 max 79242410",
+                "beta batches 76 carried 158 spilled 0",
+                "74/74/0/0 why 0/0/0/0 p50 3579367 p99 4000000 max 4000000",
+                "41/41/0/0 why 0/0/0/0 p50 3710586 p99 4000000 max 4000000",
+                "43/43/0/0 why 0/0/0/0 p50 4000000 p99 4000000 max 4000000",
+            ]
+        );
+    }
+
     #[test]
     fn report_json_carries_per_class_and_per_model_blocks() {
         let mut a = FakeRunner::new(4, 2_000_000.0);
         let mut models = vec![spec("alpha", vec![vec![&mut a]], 300.0)];
         let cfg = ClusterConfig { duration_nanos: 200_000_000, ..ClusterConfig::new(4) };
         let r = serve_cluster(&mut models, &cfg).expect("serves");
+        drop(models);
+        let m = &r.models[0];
+        assert_eq!(m.batches, a.sizes.len() as u64);
+        assert_eq!(m.batched_requests, a.sizes.iter().sum::<usize>() as u64);
+        assert_eq!(m.class_nanos[0], 2_000_000.0 * m.batches as f64, "class time sums over batches");
+        assert!(m.max_queue_depth >= 1);
         let json = r.to_json();
+        assert_eq!(r.shed(), 0);
+        assert!(!json.contains("shed_reasons"), "no shed, no breakdown: {json}");
         for key in [
             "\"batching\": \"continuous\"",
             "\"classes\":",
@@ -1391,6 +1757,8 @@ mod tests {
             "\"model\": \"alpha\"",
             "\"p99\"",
             "\"reloads\": 0",
+            "\"max_queue_depth\": ",
+            "\"class_nanos\": {\"A\": ",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }

@@ -13,24 +13,25 @@
 //!   `fathom-dataflow`) per replica, packing and splitting request
 //!   tensors via `fathom_dataflow::batch` along each workload's declared
 //!   [`BatchSpec`](fathom::BatchSpec);
-//! * [`engine::serve`] — a deterministic virtual-time event loop:
-//!   dynamic batching up to `max_batch`/`max_delay`, bounded-queue load
-//!   shedding, per-request deadlines, graceful drain;
-//! * [`metrics::ServeReport`] — per-request latency quantiles, queue
-//!   depth, batch-size distribution, shed/timeout counters, and op-class
-//!   time slices fed from the session trace;
+//! * [`cluster::serve_cluster`] — the one deterministic virtual-time
+//!   serving loop: multiple models, each behind a group of shards, with
+//!   consistent-hash routing and load-aware spill ([`router::Router`]),
+//!   per-request SLO classes and deadline-aware admission
+//!   ([`slo::SloClass`]), continuous batching versus fixed rounds
+//!   ([`cluster::BatchPolicy`]), open- or closed-loop load, bounded
+//!   queues, graceful drain, and zero-drop hot model reload from a v2
+//!   checkpoint ([`cluster::ReloadPlan`]). Single-model serving is a
+//!   one-model, one-shard cluster with fixed rounds;
+//! * [`cluster::ClusterReport`] — per-class and per-model latency
+//!   quantiles, shed/timeout counters with typed shed reasons, batch
+//!   shape, queue depth, and op-class time slices fed from the session
+//!   trace ([`metrics::LatencyHistogram`] keeps exact quantiles);
 //! * supervised recovery — a failed replica is quarantined with
 //!   exponential backoff and rebuilt from its checkpoint, its in-flight
 //!   batch retries on a healthy replica, and
 //!   [`metrics::RecoveryCounters`] account for every crash. The
 //!   [`chaos::FaultyRunner`] wrapper drives all of it deterministically
-//!   from a seeded [`FaultPlan`](fathom_dataflow::FaultPlan);
-//! * [`cluster::serve_cluster`] — the fleet layer: multiple models, each
-//!   behind a group of shards, with consistent-hash routing and
-//!   load-aware spill ([`router::Router`]), per-request SLO classes and
-//!   deadline-aware admission ([`slo::SloClass`]), continuous batching
-//!   versus fixed rounds ([`cluster::BatchPolicy`]), and zero-drop hot
-//!   model reload from a v2 checkpoint ([`cluster::ReloadPlan`]).
+//!   from a seeded [`FaultPlan`](fathom_dataflow::FaultPlan).
 //!
 //! The correctness contract is *batch independence*: a request's output
 //! is bitwise identical whether it rode in a batch of one or a full
@@ -42,7 +43,6 @@
 
 pub mod chaos;
 pub mod cluster;
-pub mod engine;
 pub mod metrics;
 pub mod router;
 pub mod slo;
@@ -50,11 +50,10 @@ pub mod worker;
 
 pub use chaos::FaultyRunner;
 pub use cluster::{
-    serve_cluster, BatchPolicy, ClassStats, ClusterConfig, ClusterReport, ClusterRunner,
-    ModelReport, ModelSpec, ReloadPlan, SynthFn,
+    serve_cluster, BatchPolicy, ClassStats, ClosedLoop, ClusterConfig, ClusterReport,
+    ClusterRunner, ModelReport, ModelSpec, RecoveryPolicy, ReloadPlan, SynthFn,
 };
-pub use engine::{serve, LoadModel, RecoveryPolicy, ServeConfig};
-pub use metrics::{BatchRecord, LatencyHistogram, RecoveryCounters, ServeReport, ShedBreakdown};
+pub use metrics::{LatencyHistogram, RecoveryCounters, ShedBreakdown};
 pub use router::{HashRing, Placement, Router};
 pub use slo::{SloClass, SloMix, SloPolicy};
 pub use worker::{synth_inputs, BatchResult, BatchRunner, Request, ServeError, SessionWorker};

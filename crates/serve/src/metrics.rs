@@ -1,12 +1,11 @@
-//! Per-request observability: latency distribution, queue pressure,
-//! batch shape, and op-class time slices for a serving run.
+//! Per-request observability building blocks for a serving run: the
+//! latency distribution, shed reasons, and supervisor counters that
+//! [`ClusterReport`](crate::cluster::ClusterReport) aggregates.
 //!
-//! Everything here is plain data plus a hand-rolled JSON writer (the
-//! vendored `serde` is marker-traits only; see `vendor/README.md`), so a
-//! [`ServeReport`] can be dropped next to the other `BENCH_*.json`
-//! artifacts and diffed across runs.
+//! Everything here is plain data; the report's hand-rolled JSON writer
+//! (the vendored `serde` is marker-traits only; see `vendor/README.md`)
+//! shares `json_f64` so every float degrades to `null` the same way.
 
-use fathom_dataflow::{OpClass, RuntimeCounters};
 use serde::Serialize;
 
 /// Formats a float with `prec` decimals for the hand-rolled JSON
@@ -94,18 +93,6 @@ impl LatencyHistogram {
     }
 }
 
-/// One executed batch: how full it was, how long the session run took,
-/// and (when the worker traces) where that time went by op class.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct BatchRecord {
-    /// Requests carried (1..=max_batch; padding slots are not counted).
-    pub size: usize,
-    /// Wall time of the `Session::run`, in nanoseconds.
-    pub service_nanos: f64,
-    /// Op time by paper class A-G (all zeros when tracing is off).
-    pub class_nanos: [f64; 7],
-}
-
 /// Supervisor activity over one serving run: how often replicas failed
 /// and what the recovery machinery did about it. All zeros on a
 /// fault-free run.
@@ -116,7 +103,7 @@ pub struct RecoveryCounters {
     /// Requests re-queued for another attempt after their batch failed.
     pub retried: u64,
     /// Requests dropped after exhausting the retry budget (these are
-    /// also counted in [`ServeReport::shed`] so conservation holds).
+    /// also counted as shed so conservation holds).
     pub dropped: u64,
     /// Times a replica entered quarantine after a failure.
     pub quarantines: u64,
@@ -142,10 +129,10 @@ pub struct ShedBreakdown {
     /// Refused at admission because the queue was at capacity.
     pub queue_full: u64,
     /// Refused at admission because the backlog made the request's
-    /// deadline provably unmeetable (cluster admission only).
+    /// deadline provably unmeetable.
     pub deadline_infeasible: u64,
     /// Evicted from the queue to make room for a higher-priority
-    /// arrival (cluster admission only).
+    /// arrival.
     pub priority_evicted: u64,
     /// Lost to replica failure: retry budget exhausted after crashed
     /// batches, or stranded when every replica died.
@@ -177,165 +164,6 @@ impl ShedBreakdown {
             "{{\"queue_full\": {}, \"deadline_infeasible\": {}, \"priority_evicted\": {}, \"replica_loss\": {}}}",
             self.queue_full, self.deadline_infeasible, self.priority_evicted, self.replica_loss
         )
-    }
-}
-
-/// Everything measured over one serving run.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct ServeReport {
-    /// Workload short name.
-    pub workload: String,
-    /// Batcher coalescing limit.
-    pub max_batch: usize,
-    /// Session workers serving in parallel.
-    pub replicas: usize,
-    /// Requests generated by the load model.
-    pub issued: u64,
-    /// Requests that returned a result.
-    pub completed: u64,
-    /// Requests refused at admission (queue full).
-    pub shed: u64,
-    /// Why each shed happened; `shed_reasons.total() == shed` always.
-    pub shed_reasons: ShedBreakdown,
-    /// Requests dropped from the queue past their deadline.
-    pub timed_out: u64,
-    /// Virtual time from the first arrival to the last completion, ns.
-    pub makespan_nanos: u64,
-    /// End-to-end request latency (admission to batch completion).
-    pub latency: LatencyHistogram,
-    /// Queue depth observed after each admission.
-    pub queue_depths: Vec<usize>,
-    /// Executed batches in dispatch order.
-    pub batches: Vec<BatchRecord>,
-    /// Supervisor counters: crashes, retries, quarantines, recoveries.
-    pub recovery: RecoveryCounters,
-    /// Unified-runtime counters folded across all replica sessions.
-    pub runtime: RuntimeCounters,
-}
-
-impl ServeReport {
-    /// Creates an empty report shell for `workload`.
-    pub fn new(workload: &str, max_batch: usize, replicas: usize) -> Self {
-        ServeReport {
-            workload: workload.to_string(),
-            max_batch,
-            replicas,
-            issued: 0,
-            completed: 0,
-            shed: 0,
-            shed_reasons: ShedBreakdown::default(),
-            timed_out: 0,
-            makespan_nanos: 0,
-            latency: LatencyHistogram::new(),
-            queue_depths: Vec::new(),
-            batches: Vec::new(),
-            recovery: RecoveryCounters::default(),
-            runtime: RuntimeCounters::default(),
-        }
-    }
-
-    /// Completed requests per second of virtual makespan.
-    pub fn throughput_rps(&self) -> f64 {
-        if self.makespan_nanos == 0 {
-            return 0.0;
-        }
-        self.completed as f64 * 1e9 / self.makespan_nanos as f64
-    }
-
-    /// Mean carried batch size across executed batches (0 when none ran).
-    pub fn mean_batch_size(&self) -> f64 {
-        if self.batches.is_empty() {
-            return 0.0;
-        }
-        self.batches.iter().map(|b| b.size as f64).sum::<f64>() / self.batches.len() as f64
-    }
-
-    /// Deepest queue observed at any admission.
-    pub fn max_queue_depth(&self) -> usize {
-        self.queue_depths.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Count of executed batches that carried exactly `size` requests.
-    pub fn batches_of_size(&self, size: usize) -> usize {
-        self.batches.iter().filter(|b| b.size == size).count()
-    }
-
-    /// Total op time attributed to each paper class across all traced
-    /// batches, A-G order.
-    pub fn class_nanos(&self) -> [f64; 7] {
-        let mut total = [0.0; 7];
-        for b in &self.batches {
-            for (t, c) in total.iter_mut().zip(b.class_nanos) {
-                *t += c;
-            }
-        }
-        total
-    }
-
-    /// Serializes the report to a JSON object (hand-rolled; the vendored
-    /// serde is marker-traits only).
-    pub fn to_json(&self) -> String {
-        let ms = |nanos: f64| nanos / 1e6;
-        let mut s = String::from("{\n");
-        s.push_str(&format!("  \"workload\": \"{}\",\n", self.workload));
-        s.push_str(&format!("  \"max_batch\": {},\n", self.max_batch));
-        s.push_str(&format!("  \"replicas\": {},\n", self.replicas));
-        s.push_str(&format!("  \"issued\": {},\n", self.issued));
-        s.push_str(&format!("  \"completed\": {},\n", self.completed));
-        s.push_str(&format!("  \"shed\": {},\n", self.shed));
-        // Itemized only when something was actually shed, so no-shed
-        // output is byte-identical to the single-counter format.
-        if self.shed_reasons.any() {
-            s.push_str(&format!("  \"shed_reasons\": {},\n", self.shed_reasons.to_json()));
-        }
-        s.push_str(&format!("  \"timed_out\": {},\n", self.timed_out));
-        s.push_str(&format!("  \"makespan_ms\": {},\n", json_f64(self.makespan_nanos as f64 / 1e6, 3)));
-        s.push_str(&format!("  \"throughput_rps\": {},\n", json_f64(self.throughput_rps(), 3)));
-        s.push_str(&format!(
-            "  \"latency_ms\": {{\"p50\": {}, \"p95\": {}, \"p99\": {}, \"mean\": {}, \"max\": {}}},\n",
-            json_f64(ms(self.latency.quantile(0.50)), 3),
-            json_f64(ms(self.latency.quantile(0.95)), 3),
-            json_f64(ms(self.latency.quantile(0.99)), 3),
-            json_f64(ms(self.latency.mean()), 3),
-            json_f64(ms(self.latency.max()), 3),
-        ));
-        s.push_str(&format!(
-            "  \"queue_depth\": {{\"max\": {}, \"samples\": {}}},\n",
-            self.max_queue_depth(),
-            self.queue_depths.len()
-        ));
-        s.push_str(&format!(
-            "  \"batches\": {{\"count\": {}, \"mean_size\": {}}},\n",
-            self.batches.len(),
-            json_f64(self.mean_batch_size(), 3)
-        ));
-        // Emitted only when the supervisor actually did something, so
-        // fault-free runs produce byte-identical JSON to earlier builds.
-        if self.recovery.any() {
-            let r = &self.recovery;
-            s.push_str(&format!(
-                "  \"recovery\": {{\"crashes\": {}, \"retried\": {}, \"dropped\": {}, \"quarantines\": {}, \"recoveries\": {}, \"dead_replicas\": {}}},\n",
-                r.crashes, r.retried, r.dropped, r.quarantines, r.recoveries, r.dead_replicas
-            ));
-        }
-        // Emitted only when the unified runtime recorded something, so
-        // serial or modeled-device runs keep byte-identical JSON.
-        if self.runtime.any() {
-            let rc = &self.runtime;
-            s.push_str(&format!(
-                "  \"runtime\": {{\"allocations\": {}, \"arena_bytes\": {}, \"steal_count\": {}, \"wide_ops\": {}, \"coscheduled_ops\": {}}},\n",
-                rc.allocations, rc.arena_bytes, rc.steal_count, rc.wide_ops, rc.coscheduled_ops
-            ));
-        }
-        let class_totals = self.class_nanos();
-        let classes: Vec<String> = OpClass::ALL
-            .iter()
-            .zip(class_totals)
-            .map(|(c, nanos)| format!("\"{}\": {}", c.letter(), json_f64(nanos, 0)))
-            .collect();
-        s.push_str(&format!("  \"class_nanos\": {{{}}}\n", classes.join(", ")));
-        s.push_str("}\n");
-        s
     }
 }
 
@@ -452,53 +280,6 @@ mod tests {
     }
 
     #[test]
-    fn shed_reasons_appear_in_json_only_when_nonzero() {
-        let mut r = ServeReport::new("vgg", 4, 1);
-        assert!(!r.to_json().contains("shed_reasons"));
-        r.shed = 3;
-        r.shed_reasons.queue_full = 2;
-        r.shed_reasons.replica_loss = 1;
-        let json = r.to_json();
-        assert!(json.contains("\"shed_reasons\""));
-        assert!(json.contains("\"queue_full\": 2"));
-        assert!(json.contains("\"replica_loss\": 1"));
-    }
-
-    #[test]
-    fn report_aggregates_batches() {
-        let mut r = ServeReport::new("alexnet", 4, 1);
-        let mut class_a = [0.0; 7];
-        class_a[0] = 100.0;
-        r.batches.push(BatchRecord { size: 4, service_nanos: 500.0, class_nanos: class_a });
-        r.batches.push(BatchRecord { size: 2, service_nanos: 300.0, class_nanos: class_a });
-        r.completed = 6;
-        r.makespan_nanos = 3_000_000_000;
-        assert_eq!(r.mean_batch_size(), 3.0);
-        assert_eq!(r.batches_of_size(4), 1);
-        assert_eq!(r.class_nanos()[0], 200.0);
-        assert!((r.throughput_rps() - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn non_finite_samples_degrade_to_null_not_bare_tokens() {
-        let mut r = ServeReport::new("speech", 4, 1);
-        r.issued = 2;
-        r.completed = 2;
-        r.latency.record(f64::NAN);
-        r.latency.record(f64::INFINITY);
-        let mut poisoned = [0.0; 7];
-        poisoned[3] = f64::NEG_INFINITY;
-        r.batches.push(BatchRecord { size: 1, service_nanos: 10.0, class_nanos: poisoned });
-        let json = r.to_json();
-        assert!(json.contains("null"), "poisoned fields should emit null: {json}");
-        for token in ["NaN", "inf", "Infinity"] {
-            assert!(!json.contains(token), "bare {token} leaked into JSON: {json}");
-        }
-        // Integer-derived fields are untouched by the degradation.
-        assert!(json.contains("\"issued\": 2"));
-    }
-
-    #[test]
     fn finite_floats_format_exactly_as_before_the_null_guard() {
         assert_eq!(json_f64(1.0, 3), "1.000");
         assert_eq!(json_f64(0.12349, 3), "0.123");
@@ -506,25 +287,5 @@ mod tests {
         assert_eq!(json_f64(f64::NAN, 3), "null");
         assert_eq!(json_f64(f64::INFINITY, 0), "null");
         assert_eq!(json_f64(f64::NEG_INFINITY, 2), "null");
-    }
-
-    #[test]
-    fn json_has_the_headline_fields() {
-        let mut r = ServeReport::new("vgg", 8, 2);
-        r.issued = 3;
-        r.completed = 3;
-        r.latency.record(1_000_000.0);
-        let json = r.to_json();
-        for key in [
-            "\"workload\": \"vgg\"",
-            "\"max_batch\": 8",
-            "\"replicas\": 2",
-            "\"throughput_rps\"",
-            "\"latency_ms\"",
-            "\"p99\"",
-            "\"class_nanos\"",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
     }
 }

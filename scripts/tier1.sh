@@ -28,6 +28,11 @@ stage clippy cargo clippy --workspace --all-targets -- -D warnings
 # real open-loop run end to end.
 stage serve-bench ./target/release/fathom serve-bench alexnet --rps 50 --duration 1 --seed 7
 
+# Closed-loop smoke: closed-loop clients and a per-request deadline
+# through single-model serving (one shard, fixed rounds); serve-bench
+# exits nonzero unless every issued request is accounted for.
+stage serve-closed-loop ./target/release/fathom serve-bench alexnet --clients 4 --requests 16 --deadline-ms 50 --seed 7
+
 # Chaos smoke: injected op panic, checkpoint corruption, and a replica
 # crash must all be recovered from (nonzero exit if any probe fails).
 stage chaos ./target/release/fathom chaos autoenc --seed 7

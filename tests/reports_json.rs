@@ -7,8 +7,8 @@
 
 use fathom_suite::fathom::train::{TrainOutcome, TrainReport};
 use fathom_suite::fathom_serve::{
-    serve_cluster, BatchRecord, BatchResult, BatchRunner, ClusterConfig, ClusterRunner, ModelSpec,
-    Request, ServeError, ServeReport,
+    serve_cluster, BatchResult, BatchRunner, ClusterConfig, ClusterRunner, ModelSpec, Request,
+    ServeError,
 };
 use fathom_suite::fathom_tensor::{Rng, Tensor};
 
@@ -157,26 +157,6 @@ fn the_validator_itself_rejects_bare_float_tokens() {
 }
 
 #[test]
-fn serve_report_json_round_trips_clean_and_poisoned() {
-    let mut r = ServeReport::new("speech", 4, 2);
-    r.issued = 5;
-    r.completed = 5;
-    r.latency.record(1_500_000.0);
-    r.batches.push(BatchRecord { size: 2, service_nanos: 800_000.0, class_nanos: [1.0; 7] });
-    assert_round_trips("ServeReport (clean)", &r.to_json());
-
-    // Poison it the way a broken clock or divided-by-zero trace would.
-    r.latency.record(f64::NAN);
-    r.latency.record(f64::INFINITY);
-    let mut poisoned = [0.0; 7];
-    poisoned[2] = f64::NEG_INFINITY;
-    r.batches.push(BatchRecord { size: 1, service_nanos: f64::NAN, class_nanos: poisoned });
-    r.shed = 1;
-    r.shed_reasons.queue_full = 1;
-    assert_round_trips("ServeReport (poisoned)", &r.to_json());
-}
-
-#[test]
 fn cluster_report_json_round_trips_clean_and_poisoned() {
     struct FixedRunner {
         capacity: usize,
@@ -214,12 +194,13 @@ fn cluster_report_json_round_trips_clean_and_poisoned() {
     let mut report = serve_cluster(&mut models, &cfg).expect("serves");
     assert_round_trips("ClusterReport (clean)", &report.to_json());
 
-    // Latency histograms are the only cluster floats fed by
-    // measurement; poison them at both aggregation levels.
+    // Latency histograms and op-class time are the cluster floats fed
+    // by measurement; poison them at both aggregation levels.
     report.per_class[0].latency.record(f64::NAN);
     report.per_class[2].latency.record(f64::INFINITY);
     for m in &mut report.models {
         m.per_class[1].latency.record(f64::NEG_INFINITY);
+        m.class_nanos[2] = f64::NAN;
     }
     assert_round_trips("ClusterReport (poisoned)", &report.to_json());
 }

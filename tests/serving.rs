@@ -12,7 +12,8 @@
 use fathom_suite::fathom::{BuildConfig, ModelKind};
 use fathom_suite::fathom_dataflow::checkpoint;
 use fathom_suite::fathom_serve::{
-    serve, synth_inputs, BatchRunner, LoadModel, Request, ServeConfig, SessionWorker,
+    serve_cluster, synth_inputs, BatchRunner, ClosedLoop, ClusterConfig, ClusterRunner, ModelSpec,
+    Request, SessionWorker,
 };
 use fathom_suite::fathom_tensor::Rng;
 
@@ -115,12 +116,13 @@ fn warm_start_accepts_training_checkpoints() {
 #[test]
 fn fault_injected_runs_are_deterministic_for_a_fixed_seed() {
     use fathom_suite::fathom_dataflow::{FaultAction, FaultPlan, FaultSite};
-    use fathom_suite::fathom_serve::{BatchResult, FaultyRunner, LoadModel, ServeError};
+    use fathom_suite::fathom_serve::{BatchResult, FaultyRunner, ServeError};
     use fathom_suite::fathom_tensor::Tensor;
     use std::sync::Arc;
 
     /// Fixed service time per batch — the only nondeterminism left is
-    /// whatever the fault plan and the engine introduce, which is none.
+    /// whatever the fault plan and the serving loop introduce, which is
+    /// none.
     struct FixedRunner {
         capacity: usize,
         service_nanos: f64,
@@ -137,6 +139,12 @@ fn fault_injected_runs_are_deterministic_for_a_fixed_seed() {
                 service_nanos: self.service_nanos,
                 class_nanos: [0.0; 7],
             })
+        }
+    }
+
+    impl ClusterRunner for FixedRunner {
+        fn reload(&mut self, _checkpoint: &[u8]) -> Result<(), ServeError> {
+            Ok(())
         }
     }
 
@@ -160,10 +168,18 @@ fn fault_injected_runs_are_deterministic_for_a_fixed_seed() {
             plan,
             1,
         );
-        let mut runners: Vec<&mut dyn BatchRunner> = vec![&mut r0, &mut r1];
-        let cfg = ServeConfig { queue_cap: 64, ..ServeConfig::new(2) };
-        let load = LoadModel::Open { rps: 4_000.0, duration_nanos: 5_000_000 };
-        serve(&mut runners, &cfg, &load, &mut |_rng, _id| Vec::new(), "fixed").expect("serves")
+        let mut models = vec![ModelSpec {
+            name: "fixed".into(),
+            shards: vec![vec![&mut r0, &mut r1]],
+            rps: 4_000.0,
+            synth: Box::new(|_rng, _id| Vec::new()),
+        }];
+        let cfg = ClusterConfig {
+            queue_cap: 64,
+            duration_nanos: 5_000_000,
+            ..ClusterConfig::single_model(2)
+        };
+        serve_cluster(&mut models, &cfg).expect("serves")
     };
 
     let first = run();
@@ -179,7 +195,7 @@ fn fault_injected_runs_are_deterministic_for_a_fixed_seed() {
 #[test]
 fn a_replica_crash_mid_run_loses_no_accepted_requests() {
     use fathom_suite::fathom_dataflow::{FaultAction, FaultPlan, FaultSite};
-    use fathom_suite::fathom_serve::{FaultyRunner, LoadModel};
+    use fathom_suite::fathom_serve::FaultyRunner;
     use std::sync::Arc;
 
     let build = BuildConfig::inference().with_seed(SEED).with_batch(2);
@@ -198,24 +214,25 @@ fn a_replica_crash_mid_run_loses_no_accepted_requests() {
     ));
     let mut r0 = FaultyRunner::new(w0, plan.clone(), 0);
     let mut r1 = FaultyRunner::new(w1, plan, 1);
-    let mut runners: Vec<&mut dyn BatchRunner> = vec![&mut r0, &mut r1];
-    let cfg = ServeConfig { queue_cap: 64, ..ServeConfig::new(2) };
-    let load = LoadModel::Closed { clients: 3, requests: 10 };
-    let report = serve(
-        &mut runners,
-        &cfg,
-        &load,
-        &mut |rng, _| synth_inputs(&shapes, &domains, rng),
-        "memnet",
-    )
-    .expect("serves");
+    let mut models = vec![ModelSpec {
+        name: "memnet".into(),
+        shards: vec![vec![&mut r0, &mut r1]],
+        rps: 0.0,
+        synth: Box::new(|rng, _| synth_inputs(&shapes, &domains, rng)),
+    }];
+    let cfg = ClusterConfig {
+        queue_cap: 64,
+        closed_loop: Some(ClosedLoop { clients: 3, requests: 10 }),
+        ..ClusterConfig::single_model(2)
+    };
+    let report = serve_cluster(&mut models, &cfg).expect("serves");
 
     assert!(report.recovery.crashes >= 1, "the planned crash must fire: {:?}", report.recovery);
     assert!(report.recovery.retried >= 1, "the crashed batch must be requeued");
-    assert_eq!(report.issued, 10);
-    assert_eq!(report.completed, 10, "no accepted request may be lost to the crash");
-    assert_eq!(report.shed, 0);
-    assert_eq!(report.timed_out, 0);
+    assert_eq!(report.issued(), 10);
+    assert_eq!(report.completed(), 10, "no accepted request may be lost to the crash");
+    assert_eq!(report.shed(), 0);
+    assert_eq!(report.timed_out(), 0);
 }
 
 #[test]
@@ -225,23 +242,27 @@ fn engine_resolves_every_closed_loop_request_with_a_real_worker() {
             .expect("servable");
     let shapes = worker.item_shapes();
     let domains = worker.domains();
-    let cfg = ServeConfig { queue_cap: 64, ..ServeConfig::new(2) };
-    let load = LoadModel::Closed { clients: 3, requests: 12 };
-    let mut runners: Vec<&mut dyn BatchRunner> = vec![&mut worker];
-    let report = serve(
-        &mut runners,
-        &cfg,
-        &load,
-        &mut |rng, _| synth_inputs(&shapes, &domains, rng),
-        "memnet",
-    )
-    .expect("serves");
-    assert_eq!(report.issued, 12);
-    assert_eq!(report.completed, 12, "closed loop with no deadline resolves everything");
-    assert_eq!(report.shed, 0);
-    assert_eq!(report.timed_out, 0);
-    assert_eq!(report.latency.count(), 12);
-    assert!(report.batches.iter().all(|b| b.size <= 2));
+    let mut models = vec![ModelSpec {
+        name: "memnet".into(),
+        shards: vec![vec![&mut worker]],
+        rps: 0.0,
+        synth: Box::new(|rng, _| synth_inputs(&shapes, &domains, rng)),
+    }];
+    let cfg = ClusterConfig {
+        queue_cap: 64,
+        closed_loop: Some(ClosedLoop { clients: 3, requests: 12 }),
+        ..ClusterConfig::single_model(2)
+    };
+    let report = serve_cluster(&mut models, &cfg).expect("serves");
+    assert!(report.conserved());
+    assert_eq!(report.issued(), 12);
+    assert_eq!(report.completed(), 12, "closed loop with no deadline resolves everything");
+    assert_eq!(report.shed(), 0);
+    assert_eq!(report.timed_out(), 0);
+    let standard = &report.per_class[fathom_suite::fathom_serve::SloClass::Standard.idx()];
+    assert_eq!(standard.latency.count(), 12, "single-model traffic is all Standard");
+    assert_eq!(report.models[0].batched_requests, 12);
+    assert!(report.models[0].batches >= 6, "no batch may carry more than max_batch = 2");
 }
 
 #[test]
